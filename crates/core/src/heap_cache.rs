@@ -162,6 +162,9 @@ impl RaidAwareCache {
 
     /// Complete a seeded cache with authoritative scores from a background
     /// bitmap walk. Present AAs are corrected; absent AAs are inserted.
+    /// An AA the caller leaves out of `all_scores` is one it holds outside
+    /// the heap (the allocator's active AA, mid-drain); it returns through
+    /// [`RaidAwareCache::insert`], so the cache counts as complete.
     pub fn absorb_rebuild(&mut self, all_scores: &[(AaId, AaScore)]) -> WaflResult<()> {
         for &(aa, score) in all_scores {
             if aa.index() >= self.scores.len() {
@@ -180,9 +183,7 @@ impl RaidAwareCache {
                 self.set_score(aa, clamped);
             }
         }
-        if self.heap.len() == self.scores.len() {
-            self.complete = true;
-        }
+        self.complete = true;
         Ok(())
     }
 

@@ -519,7 +519,7 @@ impl Aggregate {
 
         wall.plan_virtual_us += lap_us(&mut mark);
 
-        // ---- 3. physical allocation: quotas, then parallel plans ------
+        // ---- 3. physical allocation: quotas, then per-group plans ------
         let mode = if self.cfg.raid_aware_cache {
             AllocatorMode::CacheGuided
         } else {
@@ -529,10 +529,12 @@ impl Aggregate {
         let bitmap = &self.bitmap;
         let audit_sample = self.cfg.pick_audit_sample;
         let shards = self.cfg.write_shards;
+        // Groups plan one after another; each group's drain fans out over
+        // its shards inside `plan_raid_group_sharded`.
         let plans: Vec<WaflResult<(AllocOutcome, crate::sharded::ShardStats)>> = self
             .groups
-            .par_iter_mut()
-            .zip(quotas.par_iter())
+            .iter_mut()
+            .zip(quotas.iter())
             .enumerate()
             .map(|(i, (g, &quota))| {
                 crate::sharded::plan_raid_group_sharded(
@@ -584,12 +586,14 @@ impl Aggregate {
         let mut per_rg_runs: Vec<Vec<(Vbn, u64)>> = Vec::with_capacity(self.groups.len());
         // Every group's runs are disjoint (groups own disjoint VBN
         // ranges; within a group, shards drained disjoint AAs), so the
-        // whole CP applies as one sorted, page-partitioned bulk mutation.
+        // whole CP applies as one sorted bulk mutation.
         let mut all_runs: Vec<(Vbn, u64)> =
             plans.iter().flat_map(|p| p.runs.iter().copied()).collect();
         all_runs.sort_unstable_by_key(|&(start, _)| start.get());
-        self.bitmap
-            .mutate_runs_partitioned(&all_runs, true, shards)?;
+        // One worker: setting a segment's bits costs about what the
+        // serial state check already spent on it, so no CP the benchmark
+        // workloads write (at most 16 Ki blocks) gains from a second one.
+        self.bitmap.mutate_runs_partitioned(&all_runs, true, 1)?;
         for plan in &plans {
             pvbns.extend_from_slice(&plan.vbns);
             per_rg_runs.push(plan.runs.clone());
@@ -682,8 +686,8 @@ impl Aggregate {
         // ---- 4. bind logical -> virtual -> physical; collect frees ----
         // Each volume's pvbns occupy one contiguous chunk (allocation
         // filled `pvbns` in `per_vol` order), so the volume-local part
-        // of the bind — the logical and vvbn map updates — fans out
-        // over volumes with no shared state. The aggregate-side owner
+        // of the bind — the logical and vvbn map updates — runs per
+        // volume with no shared state. The aggregate-side owner
         // table and delayed-free list update serially after, in volume
         // order (the same visit order a fully serial bind would use).
         {
@@ -701,8 +705,8 @@ impl Aggregate {
                 .collect();
             let freed_per_vol: Vec<Vec<Vbn>> = self
                 .vols
-                .par_iter_mut()
-                .zip(items.into_par_iter())
+                .iter_mut()
+                .zip(items)
                 .map(|(vol, (logicals, outcome, chunk))| {
                     debug_assert_eq!(outcome.vbns.len(), logicals.len());
                     vol.remap_batch(logicals, &outcome.vbns, chunk)
@@ -742,7 +746,7 @@ impl Aggregate {
         // ---- 5. delayed frees at the CP boundary (§3.3) ---------------
         let flush_results: Vec<WaflResult<u64>> = self
             .vols
-            .par_iter_mut()
+            .iter_mut()
             .map(|vol| vol.flush_delayed_frees())
             .collect();
         for r in flush_results {
@@ -872,15 +876,15 @@ impl Aggregate {
         stats.metafile_pages = pages;
         wall.apply_us += lap_us(&mut mark);
 
-        // ---- 7. media costing, parallel per group ----------------------
+        // ---- 7. media costing, per group --------------------------------
         // Run-interval analysis — same numbers as the per-block analysis
         // `wafl-oracle` preserves (equivalence is pinned by the parity
         // suites), a fraction of the work.
         let checksum = self.cfg.checksum;
         let rg_stats: Vec<WaflResult<RgCpStats>> = self
             .groups
-            .par_iter_mut()
-            .zip(per_rg_runs.par_iter())
+            .iter_mut()
+            .zip(&per_rg_runs)
             .map(|(g, runs)| cost_raid_group_runs(g, runs, checksum))
             .collect();
         let mut cache_ops = 0u64;
@@ -950,7 +954,7 @@ impl Aggregate {
         }
         let vol_results: Vec<WaflResult<(u64, u64)>> = self
             .vols
-            .par_iter_mut()
+            .iter_mut()
             .map(|vol| {
                 if let Some(cache) = vol.cache.as_mut() {
                     let touched = vol.batch.touched_aas() as u64;

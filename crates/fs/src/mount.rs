@@ -468,7 +468,11 @@ pub fn complete_background_rebuild(agg: &mut Aggregate) -> WaflResult<u64> {
         if cache.is_complete() && !g.cache_quarantined {
             continue;
         }
-        let scores = g.topology.all_scores(bitmap);
+        // The active AA was popped by the CP that claimed it and stays out
+        // of the heap while it drains: re-inserting it would let the next
+        // CP claim it a second time.
+        let mut scores = g.topology.all_scores(bitmap);
+        scores.retain(|&(aa, _)| Some(aa) != g.active_aa);
         cache.absorb_rebuild(&scores)?;
         scanned += bitmap.page_count() as u64;
         // The heap now carries authoritative scores for every AA: a

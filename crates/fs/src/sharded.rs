@@ -56,6 +56,15 @@ use wafl_core::RaidAwareCache;
 use wafl_obs::trace::{TraceData, Tracer};
 use wafl_types::{AaId, AaScore, Vbn, WaflResult};
 
+/// Fewest blocks a group's quota must hold before its drain fans out
+/// over the rayon pool; smaller quotas drain every shard's leases
+/// inline, in shard order. On a 2-core virtualised host, handing
+/// `oltp_small_cp`'s quotas (about 512 blocks per group) to a parked
+/// worker cost more than it saved; `aged_97`'s 16 Ki-block quotas, timed
+/// in one process alternating pooled and inline CPs, took 29.4 ms of
+/// CPU per CP pooled against 31.3 ms inline.
+const PAR_MIN_DRAIN_BLOCKS: usize = 4096;
+
 /// Per-shard lease traffic from one plan call, for the
 /// `allocator.shard.{i}.*` counters.
 #[derive(Debug, Default, Clone)]
@@ -268,10 +277,10 @@ pub(crate) fn plan_raid_group_sharded(
 
     let mut out = AllocOutcome::default();
     // The cross-CP active AA joins the claim order first (best position):
-    // it is mid-drain, so its remaining free count is its exact score. A
-    // quarantined active AA goes back to the heap instead, popcount-
-    // scored, exactly like the legacy planner.
-    let mut seed_lease: Option<(AaId, AaScore)> = None;
+    // it is mid-drain, and the legacy planner finishes it before claiming
+    // anything new. A quarantined active AA goes back to the heap
+    // instead, popcount-scored, exactly like the legacy planner.
+    let mut seed_lease: Option<AaId> = None;
     if let Some(aa) = g.active_aa.take() {
         if g.quarantined_aas.contains(&aa) {
             let score = popcount_score(&g.topology, bitmap, aa);
@@ -279,7 +288,7 @@ pub(crate) fn plan_raid_group_sharded(
                 cache.insert(aa, AaScore(score))?;
             }
         } else {
-            seed_lease = Some((aa, g.topology.score_from_bitmap(bitmap, aa)));
+            seed_lease = Some(aa);
         }
     }
 
@@ -298,14 +307,18 @@ pub(crate) fn plan_raid_group_sharded(
     {
         let mut state = mgr.state.lock().expect("fresh manager");
         while covered < quota as u64 {
-            let lease = match seed_lease.take() {
-                Some(l) => Some(l),
-                None => LeaseManager::take_ranked(&mut state)?,
+            // Only fresh picks count as picks: the carried-over active AA
+            // was recorded on the CP that first claimed it.
+            let aa = match seed_lease.take() {
+                Some(aa) => aa,
+                None => match LeaseManager::take_ranked(&mut state)? {
+                    Some((aa, score)) => {
+                        out.picked.push((aa, score));
+                        aa
+                    }
+                    None => break, // ranking dry; the CP's shortfall pass takes over
+                },
             };
-            let Some((aa, score)) = lease else {
-                break; // ranking dry; the CP's shortfall pass takes over
-            };
-            out.picked.push((aa, score));
             claimed.push(aa);
             for (start, len) in topology.aa_write_ranges(aa) {
                 if covered >= quota as u64 {
@@ -389,6 +402,11 @@ pub(crate) fn plan_raid_group_sharded(
         (0..shards)
             .collect::<Vec<_>>()
             .into_par_iter()
+            .with_min_len(if quota >= PAR_MIN_DRAIN_BLOCKS {
+                1
+            } else {
+                usize::MAX
+            })
             .map(|shard| {
                 let drain_t0 = tracer.map(|t| t.now_us());
                 let mut plan = ShardPlan {

@@ -154,6 +154,21 @@ fn assert_parity(agg: &mut Aggregate, orc: &mut OracleAggregate, seed: u64, roun
                 "seed {seed} round {round}"
             );
         }
+        // Picks: the same AAs at the same scores in the same order — the
+        // count plus the pick-ordered free-fraction sum, to the bit. A
+        // carried-over active AA is not a fresh pick.
+        assert_eq!(sa.agg_picks, so.agg_picks, "seed {seed} round {round}");
+        assert_eq!(
+            sa.agg_pick_free_sum.to_bits(),
+            so.agg_pick_free_sum.to_bits(),
+            "seed {seed} round {round}"
+        );
+        assert_eq!(sa.vol_picks, so.vol_picks, "seed {seed} round {round}");
+        assert_eq!(
+            sa.vol_pick_free_sum.to_bits(),
+            so.vol_pick_free_sum.to_bits(),
+            "seed {seed} round {round}"
+        );
         assert_eq!(sa.ops, so.ops, "seed {seed} round {round}");
         assert_eq!(
             sa.metafile_pages, so.metafile_pages,
@@ -178,6 +193,11 @@ fn sharded_default_matches_oracle() {
 #[test]
 fn one_shard_matches_oracle() {
     assert_parity(&mut agg(1), &mut oracle(), 7, 6);
+}
+
+#[test]
+fn two_shards_match_oracle() {
+    assert_parity(&mut agg(2), &mut oracle(), 7, 6);
 }
 
 #[test]

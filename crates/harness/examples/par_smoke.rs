@@ -17,21 +17,13 @@
 //!
 //! The gate (`scripts/ci.sh --par-smoke`) fails unless:
 //!
-//! 1. candidate *CP-pipeline* throughput ≥ 1.3x baseline (per-round
-//!    minima across `TRIALS` interleaved trials, damping scheduler
-//!    noise — see `fold_min`). The timed region is the `run_cp` calls —
-//!    write allocation, bind, delayed frees, and costing, i.e. exactly
-//!    the pipeline this gate covers; the client ingest loop that queues
-//!    the overwrites is equivalent in both arms and would only dilute
-//!    the comparison with its noise. The sharded pipeline's structural
-//!    wins (seq-merged lease plans, run-based costing, word-masked batch
-//!    frees) must hold even on a single-core host where thread fan-out
-//!    adds nothing;
+//! 1. candidate *end-to-end* throughput — client ingest plus every
+//!    `run_cp`, the whole timed run — is ≥ 1.3x baseline, comparing the
+//!    median whole-run time of each arm over `TRIALS` interleaved
+//!    trials. Every trial is a run that happened; the CP-pipeline share
+//!    of each trial is printed alongside for context but is not gated;
 //! 2. zero parity diffs: identical aggregate free space, per-volume free
 //!    space, and logical→virtual mappings after the full workload.
-//!
-//! End-to-end throughput (client ingest + CP) is printed alongside for
-//! context but is not gated.
 //!
 //! Usage: `cargo run --release -p wafl-harness --example par_smoke`.
 
@@ -190,28 +182,20 @@ fn run_baseline() -> ArmResult {
     }
 }
 
-/// Fold a trial's per-round times into the running per-round minima.
-/// Round `r`'s workload is identical across trials (same seed), so the
-/// elementwise minimum is a composite best run: each round at the least
-/// interference any trial saw — a far tighter noise-floor estimate on a
-/// shared host than best-of-trials on whole-run sums, while preserving
-/// the workload's round-to-round shape (the mapped set, and with it the
-/// delayed-free volume, grows every round).
-fn fold_min(acc: &mut Vec<f64>, trial: &[f64]) {
-    if acc.is_empty() {
-        acc.extend_from_slice(trial);
+/// Median of a non-empty sample.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len() % 2 == 1 {
+        xs[mid]
     } else {
-        for (a, &t) in acc.iter_mut().zip(trial) {
-            *a = a.min(t);
-        }
+        (xs[mid - 1] + xs[mid]) / 2.0
     }
 }
 
 fn main() {
-    let mut baseline_rounds: Vec<f64> = Vec::new();
-    let mut candidate_rounds: Vec<f64> = Vec::new();
-    let mut best_baseline_e2e = f64::INFINITY;
-    let mut best_candidate_e2e = f64::INFINITY;
+    let mut baseline_e2e: Vec<f64> = Vec::new();
+    let mut candidate_e2e: Vec<f64> = Vec::new();
     let mut parity: Option<(Digest, Digest)> = None;
     for trial in 0..TRIALS {
         let baseline = run_baseline();
@@ -230,24 +214,22 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        fold_min(&mut baseline_rounds, &baseline.cp_secs);
-        fold_min(&mut candidate_rounds, &candidate.cp_secs);
-        best_baseline_e2e = best_baseline_e2e.min(baseline.total_secs);
-        best_candidate_e2e = best_candidate_e2e.min(candidate.total_secs);
+        baseline_e2e.push(baseline.total_secs);
+        candidate_e2e.push(candidate.total_secs);
         eprintln!(
-            "trial {trial}: CP pipeline baseline {:.0} ops/s, candidate {:.0} ops/s \
-             (end-to-end {:.0} / {:.0})",
-            (ROUNDS * OPS) as f64 / baseline.cp_secs.iter().sum::<f64>(),
-            (ROUNDS * OPS) as f64 / candidate.cp_secs.iter().sum::<f64>(),
+            "trial {trial}: end-to-end baseline {:.0} ops/s, candidate {:.0} ops/s \
+             (CP pipeline {:.0} / {:.0})",
             (ROUNDS * OPS) as f64 / baseline.total_secs,
             (ROUNDS * OPS) as f64 / candidate.total_secs,
+            (ROUNDS * OPS) as f64 / baseline.cp_secs.iter().sum::<f64>(),
+            (ROUNDS * OPS) as f64 / candidate.cp_secs.iter().sum::<f64>(),
         );
         if parity.is_none() {
             parity = Some((baseline.digest, candidate.digest));
         }
     }
-    let best_baseline: f64 = baseline_rounds.iter().sum();
-    let best_candidate: f64 = candidate_rounds.iter().sum();
+    let median_baseline = median(baseline_e2e);
+    let median_candidate = median(candidate_e2e);
     let (d_baseline, d_candidate) = parity.expect("at least one trial");
 
     let mut diffs = 0u64;
@@ -276,17 +258,14 @@ fn main() {
         diffs += map_diffs;
     }
 
-    let speedup = best_baseline / best_candidate;
+    let speedup = median_baseline / median_candidate;
     println!(
-        "par_smoke: CP pipeline {} {:.0} ops/s vs {BASELINE_PLANNER} {:.0} ops/s \
-         ({speedup:.2}x, gate >= {MIN_SPEEDUP}x); end-to-end candidate {:.0} \
-         vs baseline {:.0} ops/s ({:.2}x); parity diffs {diffs}",
+        "par_smoke: end-to-end {} {:.0} ops/s vs {BASELINE_PLANNER} {:.0} ops/s \
+         (median of {TRIALS} trials, {speedup:.2}x, gate >= {MIN_SPEEDUP}x); \
+         parity diffs {diffs}",
         candidate_planner(),
-        (ROUNDS * OPS) as f64 / best_candidate,
-        (ROUNDS * OPS) as f64 / best_baseline,
-        (ROUNDS * OPS) as f64 / best_candidate_e2e,
-        (ROUNDS * OPS) as f64 / best_baseline_e2e,
-        best_baseline_e2e / best_candidate_e2e,
+        (ROUNDS * OPS) as f64 / median_candidate,
+        (ROUNDS * OPS) as f64 / median_baseline,
     );
     if diffs > 0 {
         eprintln!("FAIL: candidate planner diverged from the wafl-oracle baseline");

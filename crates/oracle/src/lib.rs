@@ -122,8 +122,12 @@ pub struct OracleCpStats {
     pub blocks_examined: u64,
     /// AAs picked for physical allocation.
     pub agg_picks: u64,
+    /// Sum over picked physical AAs of (score / AA blocks), in pick order.
+    pub agg_pick_free_sum: f64,
     /// AAs picked for virtual allocation.
     pub vol_picks: u64,
+    /// Sum over picked virtual AAs of (score / AA blocks), in pick order.
+    pub vol_pick_free_sum: f64,
     /// Bitmap pages scanned by replenish walks during this CP.
     pub replenish_pages: u64,
     /// Volume drains resumed from a per-AA cursor.
@@ -139,6 +143,16 @@ const US_PER_METAFILE_PAGE: f64 = 30.0;
 const US_PER_BLOCK: f64 = 0.15;
 const US_PER_CACHE_OP: f64 = 0.2;
 const US_PER_SCAN_PAGE: f64 = 4.0;
+
+/// Add the free fraction of every AA in `picked` to `sum`, one at a time
+/// in pick order, exactly as `wafl_fs` accumulates
+/// `CpStats::{agg,vol}_pick_free_sum` (so the sums agree to the bit).
+fn add_pick_free(sum: &mut f64, topology: &AaTopology, picked: &[(AaId, AaScore)]) {
+    for &(aa, score) in picked {
+        let max = topology.aa_blocks(aa) as f64;
+        *sum += score.get() as f64 / max.max(1.0);
+    }
+}
 
 /// A client write queued for the next CP.
 #[derive(Clone, Copy, Debug)]
@@ -757,8 +771,9 @@ impl OracleAggregate {
             }
             vol_outcomes.push(vol.allocate_vvbns(logicals.len())?);
         }
-        for out in &vol_outcomes {
+        for (vol, out) in self.vols.iter().zip(&vol_outcomes) {
             stats.vol_picks += out.picked.len() as u64;
+            add_pick_free(&mut stats.vol_pick_free_sum, &vol.topology, &out.picked);
             stats.replenish_pages += out.replenish_pages;
             stats.blocks_examined += out.blocks_examined;
             stats.cursor_hits += out.cursor_hits;
@@ -784,8 +799,9 @@ impl OracleAggregate {
             pvbns.extend_from_slice(&plan.vbns);
             per_rg_vbns.push(plan.vbns.clone());
         }
-        for plan in &plans {
+        for (g, plan) in self.groups.iter().zip(&plans) {
             stats.agg_picks += plan.picked.len() as u64;
+            add_pick_free(&mut stats.agg_pick_free_sum, &g.topology, &plan.picked);
             stats.blocks_examined += plan.blocks_examined;
             stats.replenish_pages += plan.replenish_pages;
         }
@@ -811,6 +827,11 @@ impl OracleAggregate {
                 }
                 shortfall -= plan.vbns.len();
                 stats.agg_picks += plan.picked.len() as u64;
+                add_pick_free(
+                    &mut stats.agg_pick_free_sum,
+                    &self.groups[i].topology,
+                    &plan.picked,
+                );
                 stats.blocks_examined += plan.blocks_examined;
                 stats.replenish_pages += plan.replenish_pages;
                 pvbns.extend_from_slice(&plan.vbns);

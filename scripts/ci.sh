@@ -47,7 +47,8 @@ alloc_smoke() {
 # Sharded-pipeline gate: the sharded CP front end (write_shards=4) must
 # run >= 1.3x the sequential reference planner (the test-only
 # wafl-oracle crate, which preserves the retired write_shards=0
-# pipeline) on the overwrite+CP workload with zero parity diffs against
+# pipeline) end to end — median whole-run time over 5 interleaved
+# trials — on the overwrite+CP workload with zero parity diffs against
 # it. The gate itself fails if both arms resolve to the same planner.
 par_smoke() {
   run cargo run --release -p wafl-harness --example par_smoke
@@ -114,6 +115,8 @@ fi
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo test -q
+# The rayon shim's pool tests: shims/ is outside default-members.
+run cargo test --release -p rayon
 obs_smoke
 scrub_smoke
 alloc_smoke
